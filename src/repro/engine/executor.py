@@ -330,9 +330,7 @@ def run_uniform_atomic_phase(
     def _build_columns() -> List[list]:
         cols = []
         for tid in task_ids:
-            rng = Random()
-            rng.seed(seed_base ^ tid)
-            cols.append(column_fn(rng))
+            cols.append(column_fn(Random(seed_base ^ tid)))
         return cols
 
     if column_key is not None:
@@ -862,8 +860,8 @@ def run_guard_epoch_phase(
                                     locale_id=locale,
                                     clock=TaskClock(now),
                                     task_id=task_id,
+                                    seed=seed_base ^ task_id,
                                 )
-                                tctx.rng.seed(seed_base ^ task_id)
                             tctx.clock.now = now
                             with context_scope(tctx):
                                 rec._scan([guard])
@@ -976,9 +974,12 @@ def run_epoch_workload_phase(
         deltas = diag_counts[lid]
         task_id = rt._next_task_id()
         tctx = TaskContext(
-            runtime=rt, locale_id=lid, clock=TaskClock(start), task_id=task_id
+            runtime=rt,
+            locale_id=lid,
+            clock=TaskClock(start),
+            task_id=task_id,
+            seed=seed_base ^ task_id,
         )
-        tctx.rng.seed(seed_base ^ task_id)
 
         # -- 1. real registration on the task's clock --------------------
         with context_scope(tctx):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from ..errors import NoTaskContextError
@@ -30,7 +29,6 @@ __all__ = ["TaskContext", "current_context", "maybe_context", "context_scope"]
 _tls = threading.local()
 
 
-@dataclass
 class TaskContext:
     """Identity and virtual state of one running task.
 
@@ -44,9 +42,15 @@ class TaskContext:
         The task's virtual clock.
     task_id:
         Unique id within the runtime (diagnostics / deterministic seeding).
+    seed:
+        Seed of the task-private PRNG: ``(config.seed << 20) ^ task_id``
+        for spawned tasks, ``config.seed`` for the root task.  ``None``
+        (hand-built contexts only) seeds from the OS instead.
     rng:
-        Task-private PRNG seeded from the runtime seed and ``task_id`` so
-        workloads are reproducible regardless of thread scheduling.
+        Task-private PRNG, ``random.Random(seed)``, built on first access.
+        Workloads are reproducible regardless of thread scheduling, and
+        tasks that never draw (scan, drain and election tasks) never pay
+        for a generator.
     diag_rows:
         Cache of the executing thread's comm-diagnostics stripe (set
         lazily by the first charged operation).  Valid for the task's
@@ -54,12 +58,31 @@ class TaskContext:
         saves a thread-local lookup on every charged operation.
     """
 
-    runtime: "Runtime"
-    locale_id: int
-    clock: TaskClock
-    task_id: int
-    rng: random.Random = field(default_factory=random.Random)
-    diag_rows: Optional[List[List[int]]] = None
+    __slots__ = ("runtime", "locale_id", "clock", "task_id", "seed", "_rng", "diag_rows")
+
+    def __init__(
+        self,
+        runtime: "Runtime",
+        locale_id: int,
+        clock: TaskClock,
+        task_id: int,
+        seed: Optional[int] = None,
+    ) -> None:
+        self.runtime = runtime
+        self.locale_id = locale_id
+        self.clock = clock
+        self.task_id = task_id
+        self.seed = seed
+        self._rng: Optional[random.Random] = None
+        self.diag_rows: Optional[List[List[int]]] = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The task's PRNG (constructed from :attr:`seed` on first use)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng
 
     @property
     def here(self) -> int:
@@ -69,6 +92,12 @@ class TaskContext:
     def is_local(self, locale_id: int) -> bool:
         """True when ``locale_id`` is the task's current locale."""
         return locale_id == self.locale_id
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"TaskContext(task_id={self.task_id}, locale_id={self.locale_id},"
+            f" now={self.clock.now!r})"
+        )
 
 
 def current_context() -> TaskContext:

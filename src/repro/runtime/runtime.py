@@ -403,8 +403,8 @@ class Runtime:
             locale_id=self.locale(locale).id,
             clock=TaskClock(0.0),
             task_id=self._next_task_id(),
+            seed=self.config.seed,
         )
-        ctx.rng.seed(self.config.seed)
         with context_scope(ctx):
             return fn(*args)
 
@@ -440,7 +440,12 @@ class Runtime:
         exactly this construct.
         """
         ctx = current_context()
-        ids = list(range(self.num_locales)) if locales is None else list(locales)
+        if locales is None:
+            ids = list(range(self.num_locales))
+        else:
+            # Validate every id before costing or spawning anything, so a
+            # bad id raises LocaleError and leaves no unjoined tasks.
+            ids = [self.locale(lid).id for lid in locales]
         costs = self.config.costs
         tr = self._tracer
         t0 = ctx.clock.now if tr is not None else 0.0
@@ -451,7 +456,6 @@ class Runtime:
         )
         group = TaskGroup(self)
         for lid in ids:
-            self.locale(lid)
             if not self.network.is_coherent(ctx.locale_id, lid):
                 # Coherent peers are spawned over shared memory — no
                 # message, so (like every coherent-class charge) nothing

@@ -28,6 +28,11 @@ it pops and runs queued work items on its own thread.  A nested
 ``coforall`` inside a pool worker therefore always makes progress even
 when every pool thread is blocked in a join, and the pool can stay small
 (bounded by :meth:`~repro.runtime.config.RuntimeConfig.resolved_worker_pool_size`).
+A joiner finding nothing to pop parks on the pool's one lock; it is woken
+by the completion that drops its group's pending count to zero, or by a
+submission that no idle worker will take.  Both read the parked-joiner
+count under the same lock the joiner parks under, so no wake-up is lost
+(:data:`PARK_BACKSTOP_S` is a backstop, not the wake mechanism).
 """
 
 from __future__ import annotations
@@ -60,6 +65,12 @@ def spawn_tree_overhead(n_tasks: int, per_spawn: float) -> float:
     return math.ceil(math.log2(n_tasks + 1)) * per_spawn
 
 
+#: Longest a parked joiner sleeps before re-checking its group.  Every
+#: wake-up it needs is signalled under the pool lock, so this only bounds
+#: the damage of a protocol bug; it is not a tuning knob.
+PARK_BACKSTOP_S = 0.05
+
+
 class _WorkItem:
     """One submitted simulated task: body, context, and owning group."""
 
@@ -84,7 +95,9 @@ class _WorkItem:
             with context_scope(self.ctx):
                 self.fn(*self.args)
         except BaseException as exc:  # noqa: BLE001 - forwarded at join
-            group._record_error(exc)
+            # list.append is atomic; join reads the list only after it has
+            # seen the pending count reach zero under the pool lock.
+            group._errors.append(exc)
         finally:
             group._task_done()
 
@@ -99,6 +112,9 @@ class WorkerPool:
     worker is idle, up to ``max_workers``; beyond that, items wait in the
     queue and are drained by workers finishing earlier items or by joining
     tasks *helping* (see :meth:`TaskGroup.join`).
+
+    The pool's one lock also guards every group's pending count and the
+    count of parked joiners (see the module docstring).
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -107,7 +123,7 @@ class WorkerPool:
         # joiners on _helpers.  Separate wait queues mean a submit's
         # notify() always lands on the idle worker it accounted for and
         # can never be stolen by a parked joiner.
-        lock = threading.Lock()
+        self._lock = lock = threading.Lock()
         self._cond = threading.Condition(lock)
         self._helpers = threading.Condition(lock)
         self._queue: Deque[_WorkItem] = deque()
@@ -117,6 +133,9 @@ class WorkerPool:
         #: must not count them as available or a burst of submissions
         #: would all "wake" the same worker and serialize on it.
         self._woken = 0
+        #: Joiners waiting on _helpers; a completion or a submission
+        #: notifies only when this is non-zero.
+        self._parked = 0
         self._shutdown = False
 
     # -- introspection ----------------------------------------------------
@@ -128,7 +147,7 @@ class WorkerPool:
     @property
     def thread_count(self) -> int:
         """Threads created so far (grows lazily, never shrinks until close)."""
-        with self._cond:
+        with self._lock:
             return len(self._threads)
 
     @property
@@ -138,10 +157,11 @@ class WorkerPool:
 
     # -- submission / draining --------------------------------------------
     def submit(self, item: _WorkItem) -> None:
-        """Queue one task; wake an un-woken idle worker or grow the pool."""
-        with self._cond:
+        """Queue one task (counted pending in its group); wake or grow."""
+        with self._lock:
             if self._shutdown:
                 raise RuntimeStateError("WorkerPool used after shutdown")
+            item.group._pending += 1
             self._queue.append(item)
             if self._idle > self._woken:
                 self._woken += 1
@@ -154,37 +174,14 @@ class WorkerPool:
                 )
                 self._threads.append(t)
                 t.start()
-            else:
+            elif self._parked:
                 # Every worker is busy or already woken; wake parked
                 # joiners so a helping join can pick the item up.
                 self._helpers.notify_all()
 
-    def try_pop(self) -> Optional[_WorkItem]:
-        """Steal one queued item (used by joining tasks to help)."""
-        with self._cond:
-            if self._queue:
-                return self._queue.popleft()
-            return None
-
-    def wait(self, timeout: float) -> None:
-        """Park a joiner until work is queued or any pool event fires.
-
-        Joiners wake on submissions, task completions (see
-        :meth:`ping`), and shutdown; the timeout is a belt-and-suspenders
-        backstop, not the primary wake mechanism.
-        """
-        with self._helpers:
-            if not self._queue and not self._shutdown:
-                self._helpers.wait(timeout)
-
-    def ping(self) -> None:
-        """Wake parked joiners (called on task completion)."""
-        with self._helpers:
-            self._helpers.notify_all()
-
     def _worker_loop(self) -> None:
         while True:
-            with self._cond:
+            with self._lock:
                 while not self._queue:
                     if self._shutdown:
                         return
@@ -204,7 +201,7 @@ class WorkerPool:
         Idempotent and safe to call from any thread, including a pool
         worker (it simply skips joining itself).
         """
-        with self._cond:
+        with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
@@ -218,16 +215,20 @@ class WorkerPool:
 
 
 class TaskGroup:
-    """A structured group of simulated tasks submitted to the worker pool."""
+    """A structured group of simulated tasks submitted to the worker pool.
+
+    The group decides once, at construction, whether its tasks go to the
+    runtime's pool or run inline in spawn order (trace detail ``full``).
+    """
 
     def __init__(self, runtime: "Runtime") -> None:
         self._rt = runtime
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[WorkerPool] = (
+            None if runtime._inline_tasks else runtime._worker_pool()
+        )
         self._clocks: List[TaskClock] = []
         self._errors: List[BaseException] = []
-        # Plain lock: joiners park on the pool's helper condition (woken
-        # by ping()), never on the group, so no Condition is needed here.
-        self._lock = threading.Lock()
+        #: Tasks submitted but not finished; guarded by the pool lock.
         self._pending = 0
         self._spawned = 0
         self._joined = False
@@ -242,64 +243,53 @@ class TaskGroup:
     ) -> None:
         """Submit ``fn(*args)`` as a task on ``locale_id`` at ``start_time``.
 
-        The task receives a fresh :class:`TaskContext`; its RNG is seeded
-        deterministically from the runtime seed and the task id so workload
+        The task receives a fresh :class:`TaskContext` whose RNG seed is
+        derived from the runtime seed and the task id, so workload
         randomness is reproducible run-to-run and independent of which
         pool thread ends up executing the task.
         """
         if self._joined:
             raise RuntimeStateError("TaskGroup already joined")
-        inline = self._rt._inline_tasks
-        if self._pool is None and not inline:
-            self._pool = self._rt._worker_pool()
+        rt = self._rt
         clock = TaskClock(start_time)
-        self._clocks.append(clock)
-        task_id = self._rt._next_task_id()
-        ctx = TaskContext(
-            runtime=self._rt,
-            locale_id=locale_id,
-            clock=clock,
-            task_id=task_id,
+        task_id = rt._next_task_id()
+        item = _WorkItem(
+            fn,
+            args,
+            TaskContext(rt, locale_id, clock, task_id, (rt.config.seed << 20) ^ task_id),
+            self,
         )
-        ctx.rng.seed((self._rt.config.seed << 20) ^ task_id)
-        with self._lock:
-            self._pending += 1
-        if inline:
+        pool = self._pool
+        self._clocks.append(clock)
+        if pool is None:
             # Canonical serial schedule (trace detail "full"): run the
             # task right here, in spawn-submission order — the schedule
             # the compiled engine replays.  Virtual time is unchanged by
             # the pool-size-invariance contract; per-serve micro-values
             # become schedule-independent facts.  context_scope nests, so
             # tasks spawning tasks compose; errors surface at join() as
-            # usual via _record_error.
-            _WorkItem(fn, args, ctx, self).run()
-            self._spawned += 1
-            return
-        try:
-            self._pool.submit(_WorkItem(fn, args, ctx, self))
-        except BaseException:
-            # Undo the reservation, or a later join() would wait forever
-            # for a task that never entered the queue.
-            with self._lock:
-                self._pending -= 1
-            self._clocks.pop()
-            raise
+            # usual.
+            item.run()
+        else:
+            try:
+                pool.submit(item)
+            except BaseException:
+                self._clocks.pop()
+                raise
         self._spawned += 1
 
     # -- pool callbacks ----------------------------------------------------
-    def _record_error(self, exc: BaseException) -> None:
-        with self._lock:
-            self._errors.append(exc)
-
     def _task_done(self) -> None:
-        with self._lock:
-            self._pending -= 1
-        # Wake joiners parked on the pool: a finishing task may have
-        # queued helpable work, and our own completion may be what a
-        # nested joiner is waiting to observe.
         pool = self._pool
-        if pool is not None:
-            pool.ping()
+        if pool is None:
+            return  # inline: the task finished inside spawn()
+        with pool._lock:
+            self._pending -= 1
+            # Only this group's joiner waits on the count, and only for
+            # zero; the parked count is read under the lock the joiner
+            # parks under, so skipping the notify never loses a wake-up.
+            if not self._pending and pool._parked:
+                pool._helpers.notify_all()
 
     # -- join ---------------------------------------------------------------
     def join(self) -> float:
@@ -316,19 +306,22 @@ class TaskGroup:
         self._joined = True
         pool = self._pool
         if pool is not None:
+            queue = pool._queue
+            helpers = pool._helpers
             while True:
-                with self._lock:
-                    if self._pending == 0:
+                with pool._lock:
+                    if not self._pending:
                         break
-                item = pool.try_pop()
-                if item is not None:
-                    item.run()
-                    continue
-                # All our remaining children are running on real threads;
-                # park on the pool, which is pinged by submissions and by
-                # every task completion (ours included).  The timeout is a
-                # belt-and-suspenders backstop, not the wake mechanism.
-                pool.wait(0.05)
+                    if not queue:
+                        # All our remaining children are running on real
+                        # threads: park until the last one completes or
+                        # helpable work is queued.
+                        pool._parked += 1
+                        helpers.wait(PARK_BACKSTOP_S)
+                        pool._parked -= 1
+                        continue
+                    item = queue.popleft()
+                item.run()
         if self._errors:
             raise self._errors[0]
         return max((c.now for c in self._clocks), default=0.0)

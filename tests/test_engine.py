@@ -10,6 +10,8 @@ Covers the engine-overhaul invariants:
   sizes (the "independent of real-thread scheduling" contract).
 * Worker-pool behaviour: lazy creation, thread reuse across constructs,
   bounded growth, join-helping for nested fork/join, teardown on close.
+* The one-lock join protocol: no lost wake-ups (joins never fall back on
+  the park backstop), exceptions at join, prompt close afterwards.
 * Diagnostics: exact counts under concurrency (striping), the stopped
   fast path, and single-point rejection of unknown op names.
 """
@@ -17,6 +19,7 @@ Covers the engine-overhaul invariants:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.core.epoch_manager import EpochManagerStats
 from repro.runtime import Runtime, RuntimeConfig, ServicePoint
 from repro.bench.workloads import run_atomic_mix, run_epoch_workload
 from repro.errors import RuntimeStateError
+from repro.runtime import tasking
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +225,94 @@ class TestWorkerPool:
             rt.run(lambda: rt.coforall_locales(outer))
         rt.close()
 
+    def test_park_backstop_is_a_module_constant(self):
+        assert isinstance(tasking.PARK_BACKSTOP_S, float)
+        assert not hasattr(RuntimeConfig(num_locales=2), "park_backstop_s")
+
     def test_worker_pool_size_validated(self):
         with pytest.raises(ValueError):
             RuntimeConfig(num_locales=2, worker_pool_size=0)
         assert RuntimeConfig(num_locales=2).resolved_worker_pool_size() >= 1
+
+
+class TestJoinProtocol:
+    """Joiners are woken by the protocol, never by the park backstop.
+
+    With the backstop raised to 30 s, a single lost wake-up would stall a
+    join for 30 s, so "finishes in a few seconds" means none was lost.
+    """
+
+    JOINS = 500
+    DEADLINE_S = 20.0
+
+    @staticmethod
+    def _run_bounded(fn, deadline):
+        """Run ``fn`` on a daemon thread; fail instead of hanging."""
+        out = {}
+
+        def target():
+            try:
+                out["value"] = fn()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                out["error"] = exc
+
+        t = threading.Thread(target=target, daemon=True)
+        t0 = time.perf_counter()
+        t.start()
+        t.join(deadline)
+        assert not t.is_alive(), f"joins stalled past {deadline} s (lost wake-up)"
+        if "error" in out:
+            raise out["error"]
+        return out.get("value"), time.perf_counter() - t0
+
+    @pytest.mark.parametrize("pool", [1, 2, 4])
+    def test_no_lost_wakeups(self, pool, monkeypatch):
+        monkeypatch.setattr(tasking, "PARK_BACKSTOP_S", 30.0)
+        rt = Runtime(config=RuntimeConfig(num_locales=4, network="none", worker_pool_size=pool))
+        hits = []
+        lock = threading.Lock()
+
+        def inner(lid):
+            with lock:
+                hits.append(lid)
+
+        def outer(lid):
+            if lid == 0:
+                # A coforall nested inside a pool worker (or the helping root).
+                rt.coforall_locales(inner, locales=[1, 2])
+
+        def main():
+            for _ in range(self.JOINS // 2):
+                rt.coforall_locales(outer)
+
+        _, elapsed = self._run_bounded(lambda: rt.run(main), self.DEADLINE_S)
+        assert len(hits) == self.JOINS
+        assert elapsed < 10.0
+        t0 = time.perf_counter()
+        rt.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert rt._pool.is_shutdown
+
+    @pytest.mark.parametrize("pool", [1, 2])
+    def test_child_exception_surfaces_at_join(self, pool, monkeypatch):
+        monkeypatch.setattr(tasking, "PARK_BACKSTOP_S", 30.0)
+        rt = Runtime(config=RuntimeConfig(num_locales=4, network="none", worker_pool_size=pool))
+
+        def body(lid):
+            if lid == 3:
+                raise KeyError("child boom")
+            rt.coforall_locales(lambda inner: None, locales=[lid])
+
+        def main():
+            with pytest.raises(KeyError, match="child boom"):
+                rt.coforall_locales(body)
+            # The runtime keeps working after a failed join.
+            rt.coforall_locales(lambda lid: None)
+
+        self._run_bounded(lambda: rt.run(main), self.DEADLINE_S)
+        t0 = time.perf_counter()
+        rt.close()
+        assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -230,6 +231,67 @@ class TestCoforallLocales:
 
         with pytest.raises(KeyError):
             rt.run(lambda: rt.coforall_locales(body))
+
+    def test_bad_locale_id_raises_before_spawning(self, rt):
+        hits = []
+
+        def main():
+            with pytest.raises(LocaleError, match="99"):
+                rt.coforall_locales(hits.append, locales=[1, 99])
+            with pytest.raises(LocaleError, match="-1"):
+                rt.coforall_locales(hits.append, locales=[-1, 2])
+            before = current_context().clock.now
+            assert rt.comm_totals()["fork"] == 0
+            # Nothing was spawned or left pending: the runtime stays usable.
+            rt.coforall_locales(hits.append, locales=[1, 3])
+            return before
+
+        assert rt.run(main) == 0.0
+        assert sorted(hits) == [1, 3]
+
+
+class TestTaskRng:
+    """The per-task RNG contract: lazily built, seeded by config and id."""
+
+    def test_spawned_task_rng_is_seeded_from_config_and_task_id(self, rt):
+        seen = {}
+        lock = threading.Lock()
+
+        def body(lid):
+            ctx = current_context()
+            draws = [ctx.rng.random() for _ in range(4)]
+            with lock:
+                seen[ctx.task_id] = draws
+
+        rt.run(lambda: rt.coforall_locales(body))
+        assert len(seen) == rt.num_locales
+        for task_id, draws in seen.items():
+            ref = random.Random((rt.config.seed << 20) ^ task_id)
+            assert draws == [ref.random() for _ in range(4)]
+
+    def test_root_task_rng_is_seeded_from_config(self, rt):
+        draws = rt.run(lambda: [current_context().rng.random() for _ in range(4)])
+        ref = random.Random(rt.config.seed)
+        assert draws == [ref.random() for _ in range(4)]
+
+    def test_tasks_that_never_draw_build_no_rng(self, rt, monkeypatch):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+
+        def main():
+            rt.coforall_locales(lambda lid: None)
+            assert built == []
+            # The counter does see construction once a body draws.
+            rt.coforall_locales(lambda lid: current_context().rng.random())
+            assert len(built) == rt.num_locales
+
+        rt.run(main)
 
 
 class TestTimedAndDiagnostics:
